@@ -158,7 +158,8 @@ class OutageSchedule:
     kill intensity.
 
     Row 0 is drawn but never applied: outages begin at the first epoch
-    *boundary* (epoch 1), matching the legacy per-epoch kill loop.
+    *boundary* (epoch 1), like the per-epoch kill draws of the
+    re-sharding membership model (trivial healing config).
     """
 
     n_epochs: int

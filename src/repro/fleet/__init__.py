@@ -16,8 +16,12 @@ Layout:
 * :mod:`repro.fleet.traffic` — Zipf fleet traffic generation.
 * :mod:`repro.fleet.server` — one simulated server: machine spec,
   per-tenant CAT/slice budgets, per-tenant KVS instances.
-* :mod:`repro.fleet.cluster` — the load balancer + request loop:
-  routing, queueing, chaos server kills, failover re-sharding.
+* :mod:`repro.fleet.cluster` — the cluster, its ring membership and
+  the cell entry point :func:`run_fleet_cell`.
+* :mod:`repro.fleet.healing` — the one serving loop: routing,
+  queueing, chaos server kills, and either failover re-sharding
+  (trivial config) or replication, detection, recovery and admission
+  control.
 
 The lab entry points live in :mod:`repro.experiments.fleet`
 (``fleet-scale`` and ``fleet-failover``), exposed via ``repro fleet``.

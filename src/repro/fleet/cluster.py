@@ -1,26 +1,32 @@
-"""The fleet front end: routing, queueing, chaos kills, failover.
+"""The fleet front end: cluster, ring membership and the cell entry.
 
 :class:`FleetCluster` owns N :class:`~repro.fleet.server.FleetServer`
 instances and a :class:`~repro.fleet.ring.ConsistentHashRing` with one
-entry per *alive* server.  :func:`run_fleet_cell` drives a Zipf
-traffic stream through it:
+entry per server.  :func:`run_fleet_cell` validates one cell's
+arguments and drives a Zipf traffic stream through the fleet's one
+serving loop, :func:`~repro.fleet.healing.run_healing_cell`:
 
-1. requests are processed strictly in arrival order;
-2. each request routes by consistent hash of ``(tenant, key)`` to the
-   owning server, waits for the server to drain its queue (one
-   simulated clock per server), then pays the full cache-simulated
-   KVS service cost on that server's hierarchy;
+1. requests are processed in epochs, in arrival order;
+2. each request routes by consistent hash of ``(tenant, key)``, waits
+   for its server to drain its queue (one simulated clock per server),
+   then pays the full cache-simulated KVS service cost on that
+   server's hierarchy;
 3. at every epoch boundary the chaos clock may kill whole servers
-   (site ``fleet.server_kill``): a killed server leaves the ring, and
-   only its keys re-shard — to their ring successors, whose caches are
-   cold for them, which is exactly the tail inflation + recovery the
-   ``fleet-failover`` experiment measures.
+   (site ``fleet.server_kill``).
+
+The healing config picks one of two membership models.  A trivial
+config re-shards: a killed server leaves the ring and only its keys
+move — to their ring successors, whose caches are cold for them, which
+is exactly the tail inflation + recovery the ``fleet-failover``
+experiment measures.  Any other config keeps static replica sets and a
+pre-drawn outage schedule (see :mod:`repro.fleet.healing`).
 
 Determinism contract: server layouts derive per-server seeds from the
 cell seed, kills draw from the plan's dedicated per-site stream (zero
 rates draw nothing), and routing is hash-based — so a cell result is a
-pure function of ``(params, seed, plan)``, a persisted plan replays
-bit-exactly, and a zero-rate plan is bit-identical to no plan at all.
+pure function of ``(params, seed, plan, healing)``, a persisted plan
+replays bit-exactly, and a zero-rate plan is bit-identical to no plan
+at all.
 """
 
 from __future__ import annotations
@@ -28,18 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.faults.plan import FaultClock, resolve_plan
+from repro.faults.plan import resolve_plan
 from repro.fleet.ring import ConsistentHashRing, key_positions
 from repro.fleet.server import FleetServer
-from repro.fleet.traffic import (
-    REFERENCE_FREQ_GHZ,
-    FleetTrafficGenerator,
-    TrafficBatch,
-)
+from repro.fleet.traffic import TrafficBatch
 from repro.lab.spec import derive_seed
-from repro.stats.percentiles import LatencySummary, summarize_latencies
+from repro.stats.percentiles import LatencySummary
 
 #: The tail percentiles the fleet experiments report.
 FLEET_PERCENTILES = (50.0, 99.0, 99.9)
@@ -104,52 +104,19 @@ class FleetCluster:
         """Look up one server by ring name."""
         return self._by_name[name]
 
-    def kill_server(
-        self, name: str, request_index: int, allow_last: bool = False
-    ) -> None:
-        """Remove one server from service (chaos or operator action).
+    def kill_server(self, name: str, request_index: int) -> None:
+        """Remove one server from service and from the ring.
 
-        The legacy fleet must keep serving, so killing the last alive
-        server is refused unless *allow_last* — the self-healing path
-        sets it because total outage is a well-defined (and measured)
-        state there: requests simply find no live replica.
+        The re-sharding fleet must keep serving, so killing the last
+        alive server is refused.
         """
         server = self._by_name[name]
         if not server.alive:
             raise ValueError(f"{name} is already dead")
-        if not allow_last and len(self.alive_servers) <= 1:
+        if len(self.alive_servers) <= 1:
             raise ValueError("cannot kill the last alive server")
         server.kill(request_index)
         self.ring.remove_node(name)
-
-    def stall_server(self, name: str, until_epoch: int) -> None:
-        """Turn one server gray (slow) until *until_epoch*.
-
-        Same last-server guard as :meth:`kill_server`: a stall on the
-        only alive server would leave the fleet with no healthy
-        capacity at all, so it is refused.
-        """
-        server = self._by_name[name]
-        if not server.alive:
-            raise ValueError(f"cannot stall {name}: already dead")
-        if len(self.alive_servers) <= 1:
-            raise ValueError("cannot stall the last alive server")
-        server.stall(until_epoch)
-
-    def depart_ring(self, name: str) -> None:
-        """Take a server out of routing (suspicion or death)."""
-        if name in self.ring:
-            self.ring.remove_node(name)
-
-    def rejoin_ring(self, name: str) -> None:
-        """Return a server to routing.
-
-        Virtual-node positions are a pure function of the name, so a
-        rejoining server reclaims its exact original ring segments —
-        only the keys that failed over during the outage remap back.
-        """
-        if name not in self.ring:
-            self.ring.add_node(name)
 
     def route_epoch(self, batch: TrafficBatch) -> List[FleetServer]:
         """Owning server per request under the current membership."""
@@ -195,8 +162,8 @@ class FleetRunResult:
     alive_at_end: int = 0
     fault_counters: Optional[Dict[str, int]] = None
     #: Self-healing telemetry (detector/replication/admission); only
-    #: emitted when the healing layer ran, so legacy payloads — and the
-    #: goldens that embed them — are byte-for-byte unchanged.
+    #: emitted under the replicated membership model, so trivial-config
+    #: payloads — and the goldens that embed them — carry no such key.
     self_healing: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -247,48 +214,26 @@ def run_fleet_cell(
     The first *warmup* requests are served but excluded from the
     latency/goodput statistics (cold caches).  ``plan`` — a
     :class:`~repro.faults.plan.FaultPlan` or its persisted dict form —
-    arms the ``fleet.server_kill`` site; ``None`` or all-zero rates
-    leave every code path and RNG stream untouched.  ``dataplane``
-    selects how each server charges an epoch's requests: ``"scalar"``
-    serves one request at a time (the reference), ``"batched"`` groups
-    each epoch's requests by owning server and replays every server's
-    op stream in one flattened engine pass
+    arms the fleet fault sites; ``None`` or all-zero rates leave every
+    code path and RNG stream untouched.  ``dataplane`` selects how each
+    server charges an epoch's requests: ``"scalar"`` serves one request
+    at a time (the reference), ``"batched"`` replays every server's op
+    stream in one flattened engine pass
     (:meth:`FleetServer.serve_batch`) — results are bit-identical
     because routing, queueing and kill draws never depend on cache
     timing.
 
-    ``healing`` — a :class:`~repro.fleet.healing.SelfHealingConfig` or
-    its dict form — switches the cell to the self-healing serving loop
-    (replication, failure detection, recovery, admission control).
-    ``None`` or a trivial config (R=1, detector off, admission off)
-    keeps this legacy loop, which stays bit-identical to every run
-    before the healing layer existed.
+    ``healing`` — a :class:`~repro.fleet.healing.SelfHealingConfig`,
+    its dict form, or ``None`` for the default — selects the membership
+    model of the serving loop.  A trivial config (R=1, detector off, no
+    admission control or shedding) re-shards a killed server's keys
+    over the live ring; it honours only the ``fleet.server_kill`` site,
+    so a plan arming stalls or recoveries is rejected.  Any other config
+    adds replication, failure detection, recovery and admission control
+    (:func:`~repro.fleet.healing.run_healing_cell`).
     """
-    from repro.fleet.healing import resolve_healing
+    from repro.fleet.healing import resolve_healing, run_healing_cell
 
-    resolved_healing = resolve_healing(healing)
-    if resolved_healing is not None:
-        from repro.fleet.healing import run_healing_cell
-
-        return run_healing_cell(
-            n_servers=n_servers,
-            n_tenants=n_tenants,
-            requests=requests,
-            warmup=warmup,
-            n_keys=n_keys,
-            theta=theta,
-            get_fraction=get_fraction,
-            offered_mrps=offered_mrps,
-            vnodes=vnodes,
-            epoch_requests=epoch_requests,
-            tenant_ways=tenant_ways,
-            ddio_ways=ddio_ways,
-            engine=engine,
-            seed=seed,
-            plan=plan,
-            dataplane=dataplane,
-            healing=resolved_healing,
-        )
     if dataplane not in ("scalar", "batched"):
         raise ValueError(
             f"dataplane must be 'scalar' or 'batched', got {dataplane!r}"
@@ -303,172 +248,36 @@ def run_fleet_cell(
         raise ValueError(
             f"epoch_requests must be positive, got {epoch_requests}"
         )
+    config = resolve_healing(healing)
     resolved = resolve_plan(plan)
-    clock = (
-        FaultClock(resolved)
-        if resolved is not None and resolved.rates.any_active
-        else None
-    )
-    config = FleetClusterConfig(
+    if config.is_trivial and resolved is not None:
+        ignored: List[str] = []
+        if resolved.rates.server_stall > 0.0:
+            ignored.append("fleet.server_stall")
+        if resolved.rates.server_recovery_epochs_max > 0:
+            ignored.append("fleet.server_recovery")
+        if ignored:
+            raise ValueError(
+                f"plan arms {', '.join(ignored)}, which a trivial healing "
+                "config ignores; pass a non-trivial healing config "
+                "(replication, detector, admission or shedding)"
+            )
+    return run_healing_cell(
         n_servers=n_servers,
         n_tenants=n_tenants,
-        n_keys=n_keys,
-        vnodes=vnodes,
-        tenant_ways=tenant_ways,
-        ddio_ways=ddio_ways,
-        engine=engine,
-    )
-    cluster = FleetCluster(config, seed=seed)
-    # A runtime CacheSanitizer needs its checks interleaved with the
-    # accesses they guard; deferred replay breaks that, so fall back to
-    # the scalar loop (identical results, no speedup) when one is on.
-    use_batched = dataplane == "batched" and all(
-        server.context.hierarchy.sanitizer is None
-        for server in cluster.servers
-    )
-    generator = FleetTrafficGenerator(
-        n_tenants=n_tenants,
+        requests=requests,
+        warmup=warmup,
         n_keys=n_keys,
         theta=theta,
         get_fraction=get_fraction,
         offered_mrps=offered_mrps,
-        seed=seed + 17,
-    )
-    batch = generator.generate(requests)
-
-    latencies_us = np.zeros(requests, dtype=float)
-    finishes = np.zeros(requests, dtype=float)
-    kills: List[FleetKillEvent] = []
-    kill_rate = clock.rates.server_kill if clock is not None else 0.0
-
-    for epoch_start in range(0, requests, epoch_requests):
-        epoch = epoch_start // epoch_requests
-        if clock is not None and epoch > 0:
-            # Kill draws happen per alive server, in id order, at every
-            # epoch boundary after the first.  The last alive server is
-            # never killed (the fleet must keep serving) but clock
-            # decisions stay a pure function of the plan because each
-            # site draw consumes exactly one uniform.
-            for server in cluster.servers:
-                if not server.alive:
-                    continue
-                if len(cluster.alive_servers) <= 1:
-                    break
-                if clock.fires("fleet.server_kill", kill_rate):
-                    cluster.kill_server(server.name, epoch_start)
-                    clock.count("fleet.injected_server_kills")
-                    kills.append(
-                        FleetKillEvent(
-                            epoch=epoch,
-                            request_index=epoch_start,
-                            server=server.name,
-                        )
-                    )
-        epoch_stop = min(epoch_start + epoch_requests, requests)
-        sub = batch.slice(epoch_start, epoch_stop)
-        owners = cluster.route_epoch(sub)
-        if use_batched:
-            # Group the epoch's requests by owning server, preserving
-            # arrival order within each group.  Servers have disjoint
-            # hierarchies and per-server FIFO queues, so per-server
-            # charging order equals the global loop's and queueing
-            # (below) folds the groups back by arrival index.
-            groups: Dict[int, List[int]] = {}
-            for i, server in enumerate(owners):
-                groups.setdefault(server.server_id, []).append(i)
-            by_id = {server.server_id: server for server in owners}
-            for server_id, indices in groups.items():
-                server = by_id[server_id]
-                rows = [epoch_start + i for i in indices]
-                services = server.serve_batch(
-                    batch.tenants[rows],
-                    batch.keys[rows],
-                    batch.is_get[rows],
-                )
-                busy = server.busy_until_cycles
-                for j, index in enumerate(rows):
-                    arrival = float(batch.arrivals_cycles[index])
-                    start = arrival if arrival > busy else busy
-                    busy = start + float(services[j])
-                    finishes[index] = busy
-                    latencies_us[index] = server.latency_us(busy - arrival)
-                server.busy_until_cycles = busy
-            continue
-        for i, server in enumerate(owners):
-            index = epoch_start + i
-            arrival = float(batch.arrivals_cycles[index])
-            # Intentional scalar reference path: one request at a time
-            # on the owning server, in global arrival order.
-            service = server.serve(  # deepcheck: ignore[PERF001,PERF005]
-                int(batch.tenants[index]),
-                int(batch.keys[index]),
-                bool(batch.is_get[index]),
-            )
-            start = max(arrival, server.busy_until_cycles)
-            finish = start + service
-            server.busy_until_cycles = finish
-            finishes[index] = finish
-            latencies_us[index] = server.latency_us(finish - arrival)
-
-    measured_slice = slice(warmup, requests)
-    measured_lat = latencies_us[measured_slice]
-    measured = int(measured_lat.size)
-    duration_cycles = float(
-        finishes[measured_slice].max() - batch.arrivals_cycles[warmup]
-    )
-    duration_s = duration_cycles / (REFERENCE_FREQ_GHZ * 1e9)
-    goodput_mrps = measured / duration_s / 1e6 if duration_s > 0 else 0.0
-
-    tenant_summaries: List[LatencySummary] = []
-    measured_tenants = batch.tenants[measured_slice]
-    for tenant in range(n_tenants):
-        tenant_lat = measured_lat[measured_tenants == tenant]
-        if tenant_lat.size:
-            tenant_summaries.append(
-                summarize_latencies(tenant_lat, percentiles=FLEET_PERCENTILES)
-            )
-        else:
-            tenant_summaries.append(
-                LatencySummary(
-                    percentiles={q: 0.0 for q in FLEET_PERCENTILES},
-                    mean=0.0,
-                    count=0,
-                )
-            )
-
-    # Windowed p99 series, vectorized: one axis-wise percentile over
-    # the full windows plus one call for the ragged tail (bit-identical
-    # to the per-window loop deepcheck PERF004 flagged).
-    window_p99: List[float] = []
-    n_full = max(0, (requests - warmup)) // epoch_requests
-    if n_full:
-        full_windows = latencies_us[
-            warmup : warmup + n_full * epoch_requests
-        ].reshape(n_full, epoch_requests)
-        window_p99 = [
-            float(v) for v in np.percentile(full_windows, 99.0, axis=1)
-        ]
-    tail = latencies_us[warmup + n_full * epoch_requests : requests]
-    if tail.size:
-        window_p99.append(float(np.percentile(tail, 99.0)))
-
-    return FleetRunResult(
-        n_servers=n_servers,
-        n_tenants=n_tenants,
-        requests=requests,
-        measured=measured,
-        goodput_mrps=goodput_mrps,
-        offered_mrps=offered_mrps,
-        duration_ms=duration_s * 1e3,
-        summary=summarize_latencies(
-            measured_lat, percentiles=FLEET_PERCENTILES
-        ),
-        tenant_summaries=tenant_summaries,
-        window_p99_us=window_p99,
-        server_stats=[server.stats() for server in cluster.servers],
-        kills=kills,
-        alive_at_end=len(cluster.alive_servers),
-        fault_counters=(
-            clock.stats.to_dict() if clock is not None else None
-        ),
+        vnodes=vnodes,
+        epoch_requests=epoch_requests,
+        tenant_ways=tenant_ways,
+        ddio_ways=ddio_ways,
+        engine=engine,
+        seed=seed,
+        plan=resolved,
+        dataplane=dataplane,
+        healing=config,
     )

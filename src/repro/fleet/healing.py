@@ -1,47 +1,58 @@
-"""Self-healing fleet: replication, detection, recovery, admission.
+"""Self-healing fleet: the serving loop and its two membership models.
 
-:func:`run_healing_cell` is the self-healing counterpart of the legacy
-loop in :mod:`repro.fleet.cluster`.  It adds four mechanisms on top of
-the same servers, ring and traffic stream:
+:func:`run_healing_cell` is the fleet's one serving loop (reached
+through :func:`repro.fleet.cluster.run_fleet_cell`).  The healing
+config picks how membership works:
 
-* **R-way replication** — every ``(tenant, key)`` pair maps to the
-  ``replication`` first *distinct* servers clockwise from its ring
-  slot (:meth:`~repro.fleet.ring.ConsistentHashRing.successors_at`).
-  Replica sets are computed on the **full static ring** so they nest
-  across R (``R`` replicas are a prefix of ``R+1``'s) and stay fixed
-  as membership beliefs change; failover walks the set in order.
-* **Transient failures + recovery** — whole-server kills and gray
-  stalls come from a pre-drawn :class:`~repro.faults.streams.OutageSchedule`
-  (nested sampling: fire sets are intensity-supersets).  A kill with a
-  recovery delay reboots the server cold after the delay — the
-  hierarchy and every tenant's KVS are re-provisioned, so the rejoin
-  re-warm is genuine simulated work.  Unlike the legacy loop there is
-  **no last-server kill guard**: a guard would break the monotone
-  lost-key curves (whether a server is "last alive" depends on which
-  other kills fired, so guarded fire sets stop nesting), and total
-  outage is a well-defined measured state — requests simply count as
-  unavailable.
-* **Heartbeat failure detection** — a deterministic phi-accrual-style
-  detector: every alive, non-stalled server beats once per epoch;
-  ``phi = elapsed / (mean_gap * ln 10)`` over a sliding window of
-  observed gaps, and a server whose phi exceeds the threshold is
-  *suspected* (clients stop trying it, so gray servers shed traffic).
-  Stalled servers beat late, which inflates the window mean and slows
-  future detection — the classic gray-failure cost, made measurable.
-  A suspected server rejoins after ``rejoin_heartbeats`` consecutive
-  on-time beats.
-* **Admission control** — a per-tenant token bucket over arrival time
-  plus a per-server queue-lag watermark with hysteresis, both
-  evaluated only at epoch boundaries / from arrival times so decisions
-  never depend on cache timing (which is what keeps the scalar and
-  batched dataplanes bit-identical).
+* **Trivial config** (R=1, detector off, no admission control or
+  shedding) — the *re-sharding* model.  At each epoch boundary after
+  the first, kills are drawn per alive server in id order (site
+  ``fleet.server_kill``) and the last alive server is never killed; a
+  killed server leaves the ring and its keys re-shard to their owner on
+  the live ring.  No outage schedule is drawn and no ``self_healing``
+  telemetry is emitted.
+* **Any other config** — the *replicated* model, which adds four
+  mechanisms on top of the same servers, ring and traffic stream:
 
-Determinism contract: all randomness is the outage schedule, drawn
-upfront through the plan's :class:`~repro.faults.plan.FaultClock`
-per-site streams; everything else is a pure function of the arrival
-stream and epoch-boundary state.  A persisted plan replays bit-exactly
-and ``run_fleet_cell(healing=...)`` with a trivial config routes to
-the legacy loop, byte-identical with every pre-healing golden.
+  * **R-way replication** — every ``(tenant, key)`` pair maps to the
+    ``replication`` first *distinct* servers clockwise from its ring
+    slot (:meth:`~repro.fleet.ring.ConsistentHashRing.successors_at`).
+    Replica sets are computed on the **full static ring** so they nest
+    across R (``R`` replicas are a prefix of ``R+1``'s) and stay fixed
+    as membership beliefs change; failover walks the set in order.
+  * **Transient failures + recovery** — whole-server kills and gray
+    stalls come from a pre-drawn
+    :class:`~repro.faults.streams.OutageSchedule` (nested sampling:
+    fire sets are intensity-supersets).  A kill with a recovery delay
+    reboots the server cold after the delay — the hierarchy and every
+    tenant's KVS are re-provisioned, so the rejoin re-warm is genuine
+    simulated work.  Unlike the re-sharding model there is **no
+    last-server kill guard**: a guard would break the monotone
+    lost-key curves (whether a server is "last alive" depends on which
+    other kills fired, so guarded fire sets stop nesting), and total
+    outage is a well-defined measured state — requests simply count as
+    unavailable.
+  * **Heartbeat failure detection** — a deterministic phi-accrual-style
+    detector: every alive, non-stalled server beats once per epoch;
+    ``phi = elapsed / (mean_gap * ln 10)`` over a sliding window of
+    observed gaps, and a server whose phi exceeds the threshold is
+    *suspected* (clients stop trying it, so gray servers shed traffic).
+    Stalled servers beat late, which inflates the window mean and slows
+    future detection — the classic gray-failure cost, made measurable.
+    A suspected server rejoins after ``rejoin_heartbeats`` consecutive
+    on-time beats.
+  * **Admission control** — a per-tenant token bucket over arrival time
+    plus a per-server queue-lag watermark with hysteresis, both
+    evaluated only at epoch boundaries / from arrival times so decisions
+    never depend on cache timing (which is what keeps the scalar and
+    batched dataplanes bit-identical).
+
+Determinism contract: all randomness is drawn through the plan's
+:class:`~repro.faults.plan.FaultClock` per-site streams (per-epoch kill
+draws in the re-sharding model, the upfront outage schedule in the
+replicated one); everything else is a pure function of the arrival
+stream and epoch-boundary state.  A persisted plan replays bit-exactly,
+and a default config gives the same payload as no config at all.
 """
 
 from __future__ import annotations
@@ -53,8 +64,15 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.faults.plan import FaultClock, resolve_plan
+from repro.faults.plan import FaultClock, FaultPlan
 from repro.faults.streams import OutageSchedule, draw_outage_schedule
+from repro.fleet.cluster import (
+    FLEET_PERCENTILES,
+    FleetCluster,
+    FleetClusterConfig,
+    FleetKillEvent,
+    FleetRunResult,
+)
 from repro.fleet.ring import ConsistentHashRing, key_positions
 from repro.fleet.server import FleetServer
 from repro.fleet.traffic import REFERENCE_FREQ_GHZ, FleetTrafficGenerator
@@ -68,10 +86,10 @@ class SelfHealingConfig:
     """Knobs for the self-healing serving loop.
 
     The defaults are all-off: ``replication=1``, detector disabled, no
-    admission control.  Such a *trivial* config makes
-    :func:`resolve_healing` return ``None``, which routes
-    ``run_fleet_cell`` to the legacy loop — so passing a default
-    config is byte-identical to passing no config at all.
+    admission control.  Such a *trivial* config selects the re-sharding
+    membership model and emits no ``self_healing`` telemetry — so
+    passing a default config is byte-identical to passing no config at
+    all.  Any other config selects the replicated model.
     """
 
     #: Distinct servers per key (R).  1 = no replication.
@@ -139,7 +157,7 @@ class SelfHealingConfig:
 
     @property
     def is_trivial(self) -> bool:
-        """Whether this config changes nothing versus the legacy loop."""
+        """Whether this config selects the re-sharding membership model."""
         return (
             self.replication == 1
             and not self.detector_enabled
@@ -163,26 +181,22 @@ class SelfHealingConfig:
         return cls(**data)
 
 
-def resolve_healing(healing: Optional[object]) -> Optional[SelfHealingConfig]:
-    """Normalise a healing argument; trivial configs become ``None``.
+def resolve_healing(healing: Optional[object]) -> SelfHealingConfig:
+    """Normalise a healing argument into a config.
 
-    Accepts ``None``, a :class:`SelfHealingConfig`, or its dict form.
-    Returning ``None`` for trivial configs is what guarantees the
-    zero-feature path is *the legacy code*, not a re-implementation
-    that merely tries to match it.
+    Accepts ``None`` (the default, trivial config), a
+    :class:`SelfHealingConfig`, or its dict form.
     """
     if healing is None:
-        return None
+        return SelfHealingConfig()
     if isinstance(healing, SelfHealingConfig):
-        config = healing
-    elif isinstance(healing, dict):
-        config = SelfHealingConfig.from_dict(healing)
-    else:
-        raise TypeError(
-            f"healing must be SelfHealingConfig, dict or None, "
-            f"got {type(healing).__name__}"
-        )
-    return None if config.is_trivial else config
+        return healing
+    if isinstance(healing, dict):
+        return SelfHealingConfig.from_dict(healing)
+    raise TypeError(
+        f"healing must be SelfHealingConfig, dict or None, "
+        f"got {type(healing).__name__}"
+    )
 
 
 class HeartbeatDetector:
@@ -337,31 +351,35 @@ class _WorkItem:
     key: int
     is_get: bool
     bearing: bool  # whether this item defines the request's latency
+    penalty: float = 0.0  # failover timeouts paid before the bearing try
 
 
 def run_healing_cell(
+    *,
     n_servers: int,
     n_tenants: int,
-    requests: int = 4000,
-    warmup: int = 800,
-    n_keys: int = 1 << 12,
-    theta: float = 0.99,
-    get_fraction: float = 0.95,
-    offered_mrps: float = 2.0,
-    vnodes: int = 64,
-    epoch_requests: int = 500,
-    tenant_ways: Optional[int] = None,
-    ddio_ways: Optional[int] = None,
-    engine: str = "fast",
-    seed: int = 0,
-    plan: Optional[object] = None,
-    dataplane: str = "scalar",
-    healing: Optional[SelfHealingConfig] = None,
-) -> "FleetRunResult":
-    """Simulate one fleet cell under the self-healing serving loop.
+    requests: int,
+    warmup: int,
+    n_keys: int,
+    theta: float,
+    get_fraction: float,
+    offered_mrps: float,
+    vnodes: int,
+    epoch_requests: int,
+    tenant_ways: Optional[int],
+    ddio_ways: Optional[int],
+    engine: str,
+    seed: int,
+    plan: Optional[FaultPlan],
+    dataplane: str,
+    healing: SelfHealingConfig,
+) -> FleetRunResult:
+    """Simulate one fleet cell: the fleet's one serving loop.
 
-    Structured as three phases per epoch so the scalar and batched
-    dataplanes are bit-identical by construction:
+    Arguments arrive validated and resolved from
+    :func:`~repro.fleet.cluster.run_fleet_cell`, the public entry
+    point.  Structured as three phases per epoch so the scalar and
+    batched dataplanes are bit-identical by construction:
 
     * **Phase A (decisions)** — admission, routing, replica walk,
       failover and hint recording.  Every input (arrival times,
@@ -376,44 +394,21 @@ def run_healing_cell(
       cycles, applying the gray-stall service multiplier and failover
       penalties; the bearing item's finish defines request latency.
     """
-    from repro.fleet.cluster import (
-        FLEET_PERCENTILES,
-        FleetCluster,
-        FleetClusterConfig,
-        FleetKillEvent,
-        FleetRunResult,
-    )
-
-    if healing is None or healing.is_trivial:
-        raise ValueError(
-            "run_healing_cell needs a non-trivial SelfHealingConfig; "
-            "use run_fleet_cell for the legacy loop"
-        )
-    if dataplane not in ("scalar", "batched"):
-        raise ValueError(
-            f"dataplane must be 'scalar' or 'batched', got {dataplane!r}"
-        )
-    if requests <= 0:
-        raise ValueError(f"requests must be positive, got {requests}")
-    if not 0 <= warmup < requests:
-        raise ValueError(
-            f"warmup must be in [0, requests), got {warmup}/{requests}"
-        )
-    if epoch_requests <= 0:
-        raise ValueError(
-            f"epoch_requests must be positive, got {epoch_requests}"
-        )
     config = healing
-    resolved = resolve_plan(plan)
+    # A trivial config keeps the re-sharding membership model: per-epoch
+    # kill draws, and a killed server leaves the live ring.
+    reshard = config.is_trivial
     clock = (
-        FaultClock(resolved)
-        if resolved is not None and resolved.rates.any_active
+        FaultClock(plan)
+        if plan is not None and plan.rates.any_active
         else None
     )
     n_epochs = (requests + epoch_requests - 1) // epoch_requests
     schedule: Optional[OutageSchedule] = None
-    if clock is not None and (
-        clock.rates.server_kill > 0.0 or clock.rates.server_stall > 0.0
+    if (
+        not reshard
+        and clock is not None
+        and (clock.rates.server_kill > 0.0 or clock.rates.server_stall > 0.0)
     ):
         schedule = draw_outage_schedule(clock, n_epochs, n_servers)
 
@@ -428,8 +423,9 @@ def run_healing_cell(
     )
     cluster = FleetCluster(cluster_config, seed=seed)
     servers = cluster.servers
-    # Same sanitizer fallback as the legacy loop: deferred replay would
-    # decouple checks from the accesses they guard.
+    # A runtime CacheSanitizer needs its checks interleaved with the
+    # accesses they guard; deferred replay breaks that, so charge
+    # scalar (identical results, no speedup) when one is on.
     use_batched = dataplane == "batched" and all(
         server.context.hierarchy.sanitizer is None for server in servers
     )
@@ -443,11 +439,8 @@ def run_healing_cell(
     )
     batch = generator.generate(requests)
 
-    # Replica sets live on the full static ring: slots for every
-    # request upfront, successor walks cached per unique slot.
-    slots = cluster.ring.slot_positions(
-        key_positions(batch.tenants, batch.keys)
-    )
+    # Replicated model: replica sets live on the full static ring,
+    # successor walks cached per unique slot.
     replica_cache: Dict[int, List[int]] = {}
 
     def replicas_of(slot: int) -> List[int]:
@@ -500,6 +493,15 @@ def run_healing_cell(
     }
     believed_down_series: List[int] = [0] * n_epochs
 
+    def record_kill(server: FleetServer, epoch: int, epoch_start: int) -> None:
+        assert clock is not None
+        clock.count("fleet.injected_server_kills")
+        kills.append(
+            FleetKillEvent(
+                epoch=epoch, request_index=epoch_start, server=server.name
+            )
+        )
+
     def replay_hints(server: FleetServer, boundary_cycles: float) -> None:
         """Re-warm a rebooted server from its hint queue (in order)."""
         queued = hints[server.server_id]
@@ -539,7 +541,22 @@ def run_healing_cell(
                     reboot_log.append(
                         {"server": server.name, "epoch": epoch}
                     )
-            # 2. Scheduled kills (no last-server guard — see module doc).
+            # 2a. Re-sharding kills: one draw per alive server, in id
+            # order.  The last alive server is never killed, and each
+            # draw consumes exactly one uniform, so decisions stay a
+            # pure function of the plan.
+            if reshard and clock is not None:
+                for server in servers:
+                    if not server.alive:
+                        continue
+                    if len(cluster.alive_servers) <= 1:
+                        break
+                    if clock.fires(
+                        "fleet.server_kill", clock.rates.server_kill
+                    ):
+                        cluster.kill_server(server.name, epoch_start)
+                        record_kill(server, epoch, epoch_start)
+            # 2b. Scheduled kills (no last-server guard — see module doc).
             if schedule is not None:
                 for sid in range(n_servers):
                     server = servers[sid]
@@ -549,16 +566,8 @@ def run_healing_cell(
                         server.down_until_epoch = (
                             epoch + delay if delay > 0 else -1
                         )
-                        assert clock is not None
-                        clock.count("fleet.injected_server_kills")
                         pending_event[sid] = (epoch, "kill")
-                        kills.append(
-                            FleetKillEvent(
-                                epoch=epoch,
-                                request_index=epoch_start,
-                                server=server.name,
-                            )
-                        )
+                        record_kill(server, epoch, epoch_start)
                 # 3. Scheduled stalls (guarded: never gray the last
                 # alive server — stalls do not feed the durability
                 # curves, so the guard cannot break monotonicity).
@@ -641,19 +650,34 @@ def run_healing_cell(
 
         # ---- Phase A: decisions (timing-independent) ----------------
         epoch_stop = min(epoch_start + epoch_requests, requests)
+        sub = batch.slice(epoch_start, epoch_stop)
+        if reshard:
+            # Live ring: a killed server's keys re-shard to their
+            # current owner.
+            routed = [[server.server_id] for server in cluster.route_epoch(sub)]
+        else:
+            routed = [
+                replicas_of(slot)
+                for slot in cluster.ring.slot_positions(
+                    key_positions(sub.tenants, sub.keys)
+                ).tolist()
+            ]
+        arrivals: List[float] = sub.arrivals_cycles.tolist()
         items: Dict[int, List[_WorkItem]] = {}
-        penalties = np.zeros(epoch_stop - epoch_start)
-        for index in range(epoch_start, epoch_stop):
-            tenant = int(batch.tenants[index])
-            key = int(batch.keys[index])
-            is_get = bool(batch.is_get[index])
+        rows = zip(
+            sub.tenants.tolist(),
+            sub.keys.tolist(),
+            sub.is_get.tolist(),
+            routed,
+        )
+        for offset, (tenant, key, is_get, replicas) in enumerate(rows):
+            index = epoch_start + offset
             if admission is not None and not admission.admit(
-                tenant, float(batch.arrivals_cycles[index])
+                tenant, arrivals[offset]
             ):
                 counters["rejected"] += 1
                 per_epoch["rejected"][epoch] += 1
                 continue
-            replicas = replicas_of(int(slots[index]))
             # Walk the replica set: skip believed-down replicas for
             # free, pay a timeout on believed-up-but-dead ones, and
             # bear the request on the first believed-up live server.
@@ -678,9 +702,8 @@ def run_healing_cell(
                 continue
             counters["served"] += 1
             per_epoch["served"][epoch] += 1
-            penalties[index - epoch_start] = penalty
             items.setdefault(bearing_sid, []).append(
-                _WorkItem(index, tenant, key, is_get, True)
+                _WorkItem(index, tenant, key, is_get, True, penalty)
             )
             if not is_get:
                 # SET fan-out: every other replica either serves the
@@ -719,12 +742,8 @@ def run_healing_cell(
             )
             busy = server.busy_until_cycles
             for item, service in zip(work, services):
-                arrival = float(batch.arrivals_cycles[item.request])
-                effective = arrival + (
-                    float(penalties[item.request - epoch_start])
-                    if item.bearing
-                    else 0.0
-                )
+                arrival = arrivals[item.request - epoch_start]
+                effective = arrival + item.penalty
                 start = effective if effective > busy else busy
                 busy = start + float(service) * factor
                 if item.bearing:
@@ -776,33 +795,35 @@ def run_healing_cell(
             float(np.percentile(window, 99.0)) if window.size else 0.0
         )
 
-    self_healing: Dict[str, Any] = {
-        "config": config.to_dict(),
-        "counters": dict(counters),
-        "per_epoch": {k: list(v) for k, v in per_epoch.items()},
-        "believed_down_per_epoch": list(believed_down_series),
-        "detections": detections,
-        "rejoins": rejoins,
-        "reboots": reboot_log,
-        "stalls": [
-            {
-                "server": servers[entry["server_id"]].name,
-                "epoch": entry["epoch"],
-                "until_epoch": entry["until_epoch"],
-            }
-            for entry in stall_log
-        ],
-        "believed_down_at_end": sorted(
-            servers[sid].name for sid in believed_down
-        ),
-        "lost_key_fraction": lost_key_fraction(
-            cluster.ring,
-            [server.alive for server in servers],
-            n_tenants,
-            n_keys,
-            config.replication,
-        ),
-    }
+    self_healing: Optional[Dict[str, Any]] = None
+    if not reshard:
+        self_healing = {
+            "config": config.to_dict(),
+            "counters": dict(counters),
+            "per_epoch": {k: list(v) for k, v in per_epoch.items()},
+            "believed_down_per_epoch": list(believed_down_series),
+            "detections": detections,
+            "rejoins": rejoins,
+            "reboots": reboot_log,
+            "stalls": [
+                {
+                    "server": servers[entry["server_id"]].name,
+                    "epoch": entry["epoch"],
+                    "until_epoch": entry["until_epoch"],
+                }
+                for entry in stall_log
+            ],
+            "believed_down_at_end": sorted(
+                servers[sid].name for sid in believed_down
+            ),
+            "lost_key_fraction": lost_key_fraction(
+                cluster.ring,
+                [server.alive for server in servers],
+                n_tenants,
+                n_keys,
+                config.replication,
+            ),
+        }
 
     return FleetRunResult(
         n_servers=n_servers,

@@ -135,6 +135,31 @@ class TestRunFleetCell:
                 assert server["alive"] is False
         assert payload["measured"] == CELL_KW["requests"] - CELL_KW["warmup"]
 
+    @pytest.mark.parametrize(
+        "rates, site",
+        [
+            (FaultRates(server_stall=0.1), "fleet.server_stall"),
+            (
+                FaultRates(
+                    server_kill=0.1,
+                    server_recovery_epochs_min=1,
+                    server_recovery_epochs_max=3,
+                ),
+                "fleet.server_recovery",
+            ),
+        ],
+        ids=["stall", "recovery"],
+    )
+    def test_trivial_config_rejects_sites_it_ignores(self, rates, site):
+        """The re-sharding model draws only server kills; a plan that
+        also arms stalls or recoveries fails up front instead of being
+        silently cut down."""
+        plan = FaultPlan(seed=1, rates=rates)
+        for healing in (None, {}, {"replication": 1}):
+            with pytest.raises(ValueError, match=site) as info:
+                run_fleet_cell(2, 2, plan=plan, healing=healing, **CELL_KW)
+            assert "non-trivial healing config" in str(info.value)
+
     def test_last_server_never_killed(self):
         plan = FaultPlan(seed=1, rates=FaultRates(server_kill=1.0))
         result = run_fleet_cell(4, 2, seed=0, plan=plan, **CELL_KW)

@@ -1,9 +1,9 @@
 """Tests for the self-healing fleet layer.
 
-Covers the config/trivial-routing contract, the phi-accrual heartbeat
-detector, token-bucket admission, replica-set structure on the ring,
-lost-key monotonicity, the cluster's stall/rejoin guards, and the two
-lab experiments built on top (availability, durability) including
+Covers the config contract (a trivial config is the same as no config),
+the phi-accrual heartbeat detector, token-bucket admission, replica-set
+structure on the ring, lost-key monotonicity, and the two lab
+experiments built on top (availability, durability) including
 bit-identical replay from persisted plans.
 
 Hypothesis widens the structural properties (replica distinctness and
@@ -31,7 +31,7 @@ from repro.experiments.fleet import (
     run_fleet_durability_point,
 )
 from repro.faults.plan import FaultPlan, FaultRates
-from repro.fleet.cluster import FleetCluster, FleetClusterConfig, run_fleet_cell
+from repro.fleet.cluster import run_fleet_cell
 from repro.fleet.healing import (
     HeartbeatDetector,
     SelfHealingConfig,
@@ -82,19 +82,26 @@ def _canon(payload):
 
 
 class TestSelfHealingConfig:
-    def test_default_is_trivial_and_resolves_to_none(self):
+    def test_default_is_trivial_and_matches_no_config(self):
+        """``None``, ``{}`` and a default config are one contract: the
+        same payload, with no ``self_healing`` key."""
         assert SelfHealingConfig().is_trivial
-        assert resolve_healing(None) is None
-        assert resolve_healing(SelfHealingConfig()) is None
-        assert resolve_healing({}) is None
-        assert resolve_healing({"replication": 1}) is None
+        bare = run_fleet_cell(3, 2, seed=0, **CELL_KW).to_dict()
+        for healing in ({}, SelfHealingConfig()):
+            payload = run_fleet_cell(
+                3, 2, seed=0, healing=healing, **CELL_KW
+            ).to_dict()
+            assert _canon(payload) == _canon(bare)
+        assert "self_healing" not in bare
 
     def test_nontrivial_resolves_to_config(self):
         config = resolve_healing({"replication": 2})
         assert isinstance(config, SelfHealingConfig)
         assert config.replication == 2
-        assert resolve_healing({"detector_enabled": True}) is not None
-        assert resolve_healing({"admit_tenant_mrps": 1.0}) is not None
+        assert resolve_healing(None) == SelfHealingConfig()
+        assert resolve_healing({"replication": 1}).is_trivial
+        assert not resolve_healing({"detector_enabled": True}).is_trivial
+        assert not resolve_healing({"admit_tenant_mrps": 1.0}).is_trivial
 
     def test_validation(self):
         with pytest.raises(ValueError, match="replication"):
@@ -268,60 +275,23 @@ class TestLostKeyFraction:
         assert lost_key_fraction(ring, alive_small, 2, 256, replication) <= frac
 
 
-class TestClusterGuards:
-    def _cluster(self, n=3):
-        return FleetCluster(FleetClusterConfig(n, 2, n_keys=256))
-
-    def test_cannot_stall_last_alive_server(self):
-        """Satellite (c): the stall guard mirrors the kill guard."""
-        cluster = self._cluster(2)
-        cluster.kill_server("server-0", 0)
-        with pytest.raises(ValueError, match="last alive"):
-            cluster.stall_server("server-1", until_epoch=4)
-
-    def test_cannot_stall_dead_server(self):
-        cluster = self._cluster(3)
-        cluster.kill_server("server-1", 0)
-        with pytest.raises(ValueError, match="already dead"):
-            cluster.stall_server("server-1", until_epoch=4)
-
-    def test_allow_last_kill_for_healing_path(self):
-        """With replication the healing loop may lose every server;
-        nested sampling forbids guard-induced schedule divergence."""
-        cluster = self._cluster(2)
-        cluster.kill_server("server-0", 0)
-        cluster.kill_server("server-1", 10, allow_last=True)
-        assert cluster.alive_servers == []
-
-    def test_rejoin_restores_exact_vnode_positions(self):
-        """Satellite (c): departure + rejoin is a routing no-op —
-        virtual-node positions are a pure function of the name."""
-        cluster = self._cluster(4)
-        ring = cluster.ring
-        before_positions = ring._ring_positions.tolist()
-        before_owners = [ring.nodes[i] for i in ring._ring_owners.tolist()]
-        cluster.depart_ring("server-2")
-        assert "server-2" not in ring
-        cluster.rejoin_ring("server-2")
-        cluster.rejoin_ring("server-2")  # idempotent
-        after_owners = [ring.nodes[i] for i in ring._ring_owners.tolist()]
-        assert ring._ring_positions.tolist() == before_positions
-        assert after_owners == before_owners
-
-
 class TestTrivialConfigTransparency:
     def test_trivial_healing_byte_identical_to_legacy(self):
-        """Satellite (a): a trivial healing config routes to the legacy
-        loop, so the payload is byte-identical — including the absence
-        of any `self_healing` key."""
+        """Knobs only the replicated model reads (detector tuning,
+        failover timeout, bucket depth) leave a trivial config's
+        payload byte-identical to no config — the re-sharding payload
+        the fleet goldens pin."""
         bare = run_fleet_cell(3, 2, seed=0, **CELL_KW)
-        trivial = run_fleet_cell(3, 2, seed=0, healing={}, **CELL_KW)
-        config = run_fleet_cell(
-            3, 2, seed=0, healing=SelfHealingConfig(), **CELL_KW
+        tuned = SelfHealingConfig(
+            phi_threshold=2.0,
+            heartbeat_window=3,
+            rejoin_heartbeats=5,
+            failover_timeout_cycles=1.0,
+            admit_bucket_depth=8.0,
         )
-        assert _canon(bare.to_dict()) == _canon(trivial.to_dict())
-        assert _canon(bare.to_dict()) == _canon(config.to_dict())
-        assert "self_healing" not in bare.to_dict()
+        assert tuned.is_trivial
+        result = run_fleet_cell(3, 2, seed=0, healing=tuned, **CELL_KW)
+        assert _canon(bare.to_dict()) == _canon(result.to_dict())
 
     def test_trivial_transparency_under_faults(self):
         plan = FaultPlan(seed=7, rates=FaultRates(server_kill=0.5))

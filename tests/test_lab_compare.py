@@ -1,5 +1,6 @@
 """Comparison layer: flattening, tolerances, golden adapters, verdicts."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -10,11 +11,36 @@ from repro.lab import (
     flatten_metrics,
     format_comparison_report,
     load_baseline,
+    load_run,
     run_matrix,
 )
 from repro.lab.store import RunStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: Every experiment that has a committed golden file.
+GOLDEN_EXPERIMENTS = [
+    "fig05", "fig06", "fig07", "table3", "table4",
+    "fleet-scale", "fleet-failover",
+    "fleet-availability", "fleet-durability",
+]
+
+#: Fleet experiment -> golden file; these goldens must match exactly.
+FLEET_GOLDENS = {
+    "fleet-scale": "fleet_scale.json",
+    "fleet-failover": "fleet_failover.json",
+    "fleet-availability": "fleet_availability.json",
+    "fleet-durability": "fleet_durability.json",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """One persisted lab run of every golden experiment (base seed 0)."""
+    report = run_matrix(GOLDEN_EXPERIMENTS, jobs=1, seed=0)
+    root = tmp_path_factory.mktemp("golden-run") / "run"
+    RunStore(root).write_report(report)
+    return load_run(root)
 
 
 class TestFlatten:
@@ -141,27 +167,26 @@ class TestGoldenBaseline:
         assert "read_cycles" in baseline["experiments"]["fig05"]["result"]
 
     @pytest.mark.slow
-    def test_lab_run_matches_golden(self, tmp_path):
+    def test_lab_run_matches_golden(self, golden_run):
         """The end-to-end acceptance path: run → store → compare → PASS."""
-        report = run_matrix(
-            [
-                "fig05", "fig06", "fig07", "table3", "table4",
-                "fleet-scale", "fleet-failover",
-                "fleet-availability", "fleet-durability",
-            ],
-            jobs=1,
-            seed=0,
-        )
-        RunStore(tmp_path / "run").write_report(report)
-        from repro.lab import load_run
-
-        comparison = compare_runs(
-            load_run(tmp_path / "run"), load_baseline(GOLDEN_DIR)
-        )
+        comparison = compare_runs(golden_run, load_baseline(GOLDEN_DIR))
         assert comparison.ok, format_comparison_report(comparison)
         for exp in comparison.experiments:
             assert exp.status == "ok"
             assert exp.compared > 0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(FLEET_GOLDENS))
+    def test_fleet_result_equals_golden_exactly(self, golden_run, name):
+        """Fleet results are exact: the persisted payload equals the
+        committed golden bit for bit, not merely within ``rel_tol``."""
+        golden = json.loads((GOLDEN_DIR / FLEET_GOLDENS[name]).read_text())
+        expected = {
+            key: value
+            for key, value in golden.items()
+            if key not in ("params", "rel_tol")
+        }
+        assert golden_run["experiments"][name]["result"] == expected
 
     def test_unknown_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
