@@ -59,7 +59,7 @@ from __future__ import annotations
 import os
 import weakref
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "CacheSanitizer",
@@ -400,7 +400,8 @@ class CacheSanitizer:
             slc, set_i = divmod(pos, n_sets)
             slice_cache = llc.slices[slc]
             where = slice_cache._where[set_i]
-            tags = slice_cache._tags[set_i]
+            # An untouched set has no tag list yet: no valid ways.
+            tags: Sequence[Optional[int]] = slice_cache._tags[set_i] or ()
             valid = sum(1 for t in tags if t is not None)
             if valid != len(where):
                 self._raise(

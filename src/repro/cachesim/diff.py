@@ -122,14 +122,17 @@ def state_fingerprint(hierarchy: CacheHierarchy) -> dict:
             for cache in caches
             for i in range(len(cache._sets))
         ]
+    # An untouched LLC set (no tag list yet) digests as an empty one.
     fp["llc"] = [
         [
-            sorted(
-                (tag, bool(slc._dirty[set_i][way]))
-                for way, tag in enumerate(ways)
+            []
+            if tags is None
+            else sorted(
+                (tag, bool(dirt[way]))
+                for way, tag in enumerate(tags)
                 if tag is not None
             )
-            for set_i, ways in enumerate(slc._tags)
+            for tags, dirt in zip(slc._tags, slc._dirty)
         ]
         for slc in hierarchy.llc.slices
     ]

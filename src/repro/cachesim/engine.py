@@ -214,10 +214,17 @@ class FastEngine:
         l2_mask = h.l2s[0]._set_mask
         l1_ways = h.l1s[0].n_ways
         l2_ways = h.l2s[0].n_ways
+        # Per-slice, per-set tables (see WayCache): an untouched set's
+        # `where` is the shared empty map and its other entries are
+        # None until a fill allocates them through `llc_alloc`.  With
+        # LRU, `llc_repl` entries are stamp lists and `llc_tick` is each
+        # slice's clock.
         llc_where = [s._where for s in llc.slices]
         llc_tags = [s._tags for s in llc.slices]
         llc_dirty = [s._dirty for s in llc.slices]
-        llc_pols = [s._policies for s in llc.slices]
+        llc_repl = [s._repl for s in llc.slices]
+        llc_tick = [s._clock.__next__ for s in llc.slices]
+        llc_alloc = [s._alloc for s in llc.slices]
         llc_mask = llc.slices[0]._set_mask
         all_ways = llc.slices[0]._all_ways
         counts = [sc.counts for sc in llc.counters.slices]
@@ -272,20 +279,22 @@ class FastEngine:
                 allowed = cat_allowed(core)
             cnt[EV_FILLS] += 1
             set_i = (line >> 6) & llc_mask
-            where = llc_where[slc][set_i]
-            pol = llc_pols[slc][set_i]
-            existing = where.get(line)
-            if existing is not None:
-                if lru_fast:
-                    pol._clock += 1
-                    pol._stamp[existing] = pol._clock
-                else:
-                    pol.touch(existing)
-                if dirty:
-                    llc_dirty[slc][set_i][existing] = True
-                return None
             tags = llc_tags[slc][set_i]
-            dirt = llc_dirty[slc][set_i]
+            if tags is None:
+                where, tags, dirt, repl = llc_alloc[slc](set_i)
+            else:
+                where = llc_where[slc][set_i]
+                repl = llc_repl[slc][set_i]
+                existing = where.get(line)
+                if existing is not None:
+                    if lru_fast:
+                        repl[existing] = llc_tick[slc]()
+                    else:
+                        repl.touch(existing)
+                    if dirty:
+                        llc_dirty[slc][set_i][existing] = True
+                    return None
+                dirt = llc_dirty[slc][set_i]
             if allowed is None:
                 ways = all_ways
                 # len(where) counts the valid ways, so a shorter dict
@@ -297,10 +306,9 @@ class FastEngine:
                     dirt[w] = dirty
                     where[line] = w
                     if lru_fast:
-                        pol._clock += 1
-                        pol._stamp[w] = pol._clock
+                        repl[w] = llc_tick[slc]()
                     else:
-                        pol.reset(w)
+                        repl.reset(w)
                     return None
             else:
                 ways = allowed
@@ -310,17 +318,16 @@ class FastEngine:
                         dirt[w] = dirty
                         where[line] = w
                         if lru_fast:
-                            pol._clock += 1
-                            pol._stamp[w] = pol._clock
+                            repl[w] = llc_tick[slc]()
                         else:
-                            pol.reset(w)
+                            repl.reset(w)
                         return None
             if lru_fast:
                 # min() keeps the first of equal stamps, matching the
                 # reference LruPolicy's strict-less-than scan.
-                vw = min(ways, key=pol._stamp.__getitem__)
+                vw = min(ways, key=repl.__getitem__)
             else:
-                vw = pol.victim(ways)
+                vw = repl.victim(ways)
             vtag = tags[vw]
             vdirty = dirt[vw]
             del where[vtag]
@@ -328,10 +335,9 @@ class FastEngine:
             dirt[vw] = dirty
             where[line] = vw
             if lru_fast:
-                pol._clock += 1
-                pol._stamp[vw] = pol._clock
+                repl[vw] = llc_tick[slc]()
             else:
-                pol.reset(vw)
+                repl.reset(vw)
             cnt[EV_EVICT] += 1
             if vdirty:
                 cnt[EV_WB] += 1
@@ -431,12 +437,10 @@ class FastEngine:
                 set_i = (vline >> 6) & llc_mask
                 way = llc_where[vslc][set_i].get(vline)
                 if way is not None:
-                    pol = llc_pols[vslc][set_i]
                     if lru_fast:
-                        pol._clock += 1
-                        pol._stamp[way] = pol._clock
+                        llc_repl[vslc][set_i][way] = llc_tick[vslc]()
                     else:
-                        pol.touch(way)
+                        llc_repl[vslc][set_i].touch(way)
                     llc_dirty[vslc][set_i][way] = True
                 else:
                     fill_llc(core, vline, True, vslc, stats)
@@ -545,12 +549,10 @@ class FastEngine:
             if way is not None:
                 cnt[EV_HITS] += 1
                 stats.llc_hits += 1
-                pol = llc_pols[slc][set_i]
                 if lru_fast:
-                    pol._clock += 1
-                    pol._stamp[way] = pol._clock
+                    llc_repl[slc][set_i][way] = llc_tick[slc]()
                 else:
-                    pol.touch(way)
+                    llc_repl[slc][set_i].touch(way)
                 if write:
                     c = store_commit + rfo_llc[core][slc]
                 else:
@@ -624,12 +626,10 @@ class FastEngine:
                     way = llc_where[slc][set_i].get(line)
                     if way is not None:
                         cnt[EV_HITS] += 1
-                        pol = llc_pols[slc][set_i]
                         if lru_fast:
-                            pol._clock += 1
-                            pol._stamp[way] = pol._clock
+                            llc_repl[slc][set_i][way] = llc_tick[slc]()
                         else:
-                            pol.touch(way)
+                            llc_repl[slc][set_i].touch(way)
                         if write:
                             c = store_commit + rfo_llc[core][slc]
                         else:
@@ -685,13 +685,14 @@ class FastEngine:
         dw0, dw1 = (ddio_ways if two_ddio else (0, 0))
         EV_DDIO_F, EV_DDIO_R = EVENT_DDIO_FILLS, EVENT_DDIO_READS
 
-        # line -> (slc, set_i, where, pol, stamp, tags_outer,
-        # dirty_outer) memo for the replay paths.  The per-set
-        # ``_where`` dicts, policy objects and LRU stamp lists are
-        # stable for the model's lifetime (drains clear them in
-        # place), but the per-set tag/dirty lists are *replaced* on
-        # drain — so the memo holds the outer per-slice lists and
-        # indexes them per use.  Size-capped like slice_memo.
+        # line -> (slc, where, tags, dirty, repl) memo for the replay
+        # paths, holding the line's set containers themselves.  Sets are
+        # allocated on first fill and a set's containers are never
+        # replaced afterwards (WayCache.flush clears them in place), so
+        # set_lookup allocates an untouched set before memoizing it —
+        # otherwise the memo would keep the shared empty `where` map
+        # after a later fill gave the set its own.  Size-capped like
+        # slice_memo.
         set_memo: dict = {}
         set_memo_get = set_memo.get
 
@@ -700,16 +701,17 @@ class FastEngine:
             if slc is None:
                 slc = slice_lookup(line)
             set_i = (line >> 6) & llc_mask
-            pol = llc_pols[slc][set_i]
-            info = (
-                slc,
-                set_i,
-                llc_where[slc][set_i],
-                pol,
-                getattr(pol, "_stamp", None),
-                llc_tags[slc],
-                llc_dirty[slc],
-            )
+            tags = llc_tags[slc][set_i]
+            if tags is None:
+                info = (slc,) + llc_alloc[slc](set_i)
+            else:
+                info = (
+                    slc,
+                    llc_where[slc][set_i],
+                    tags,
+                    llc_dirty[slc][set_i],
+                    llc_repl[slc][set_i],
+                )
             if len(set_memo) >= (1 << 20):
                 set_memo.clear()
             set_memo[line] = info
@@ -722,7 +724,7 @@ class FastEngine:
         # ``(line, *set_lookup(line))`` tuples; ``slc_pairs`` aggregates
         # the span's fixed line->slice distribution so per-line counter
         # increments collapse to one add per slice; ``probes`` pairs
-        # each line with its set's ``_where`` dict for the read path.
+        # each line with its set's ``where`` map for the read path.
         span_infos: dict = {}
         span_infos_get = span_infos.get
 
@@ -738,7 +740,7 @@ class FastEngine:
             entry = (
                 rows,
                 tuple(per_slc.items()),
-                tuple((row[0], row[3]) for row in rows),
+                tuple((row[0], row[2]) for row in rows),
             )
             if len(span_infos) >= (1 << 18):
                 span_infos.clear()
@@ -775,7 +777,7 @@ class FastEngine:
                     cnt = counts[slc]
                     cnt[EV_DDIO_F] += v
                     cnt[EV_FILLS] += v
-            for line, slc, set_i, where, pol, stamp, tags_o, dirt_o in rows:
+            for line, slc, where, tags, dirt, repl in rows:
                 m = resident_get(line)
                 if m is not None:
                     shift = line >> 6
@@ -791,14 +793,11 @@ class FastEngine:
                 existing = where.get(line)
                 if existing is not None:
                     if lru_fast:
-                        pol._clock += 1
-                        stamp[existing] = pol._clock
+                        repl[existing] = llc_tick[slc]()
                     else:
-                        pol.touch(existing)
-                    dirt_o[set_i][existing] = True
+                        repl.touch(existing)
+                    dirt[existing] = True
                     continue
-                tags = tags_o[set_i]
-                dirt = dirt_o[set_i]
                 if two_ddio and lru_fast:
                     if tags[dw0] is None:
                         vw = dw0
@@ -809,7 +808,7 @@ class FastEngine:
                         vtag = None
                         vdirty = False
                     else:
-                        vw = dw0 if stamp[dw0] <= stamp[dw1] else dw1
+                        vw = dw0 if repl[dw0] <= repl[dw1] else dw1
                         vtag = tags[vw]
                         vdirty = dirt[vw]
                         del where[vtag]
@@ -821,9 +820,9 @@ class FastEngine:
                             break
                     if vw < 0:
                         if lru_fast:
-                            vw = min(ddio_ways, key=stamp.__getitem__)
+                            vw = min(ddio_ways, key=repl.__getitem__)
                         else:
-                            vw = pol.victim(ddio_ways)
+                            vw = repl.victim(ddio_ways)
                         vtag = tags[vw]
                         vdirty = dirt[vw]
                         del where[vtag]
@@ -834,10 +833,9 @@ class FastEngine:
                 dirt[vw] = True
                 where[line] = vw
                 if lru_fast:
-                    pol._clock += 1
-                    stamp[vw] = pol._clock
+                    repl[vw] = llc_tick[slc]()
                 else:
-                    pol.reset(vw)
+                    repl.reset(vw)
                 if vtag is None:
                     continue
                 # Evictions are rare on steady-state spans (lines are
@@ -876,7 +874,7 @@ class FastEngine:
                 if info is None:
                     info = set_lookup(first)
                 counts[info[0]][EV_DDIO_R] += 1
-                return 1, (1 if first in info[2] else 0)
+                return 1, (1 if first in info[1] else 0)
             entry = span_infos_get((first, last))
             if entry is None:
                 entry = span_info_rows(first, last)
@@ -946,16 +944,14 @@ class FastEngine:
                                 slc = info[0]
                                 cnt = counts[slc]
                                 cnt[EV_LOOKUPS] += 1
-                                way = info[2].get(line)
+                                way = info[1].get(line)
                                 if way is not None:
                                     cnt[EV_HITS] += 1
                                     n_llc += 1
-                                    pol = info[3]
                                     if lru_fast:
-                                        pol._clock += 1
-                                        pol._stamp[way] = pol._clock
+                                        info[4][way] = llc_tick[slc]()
                                     else:
-                                        pol.touch(way)
+                                        info[4].touch(way)
                                     if write:
                                         cc = store_commit + rfo_llc[core][slc]
                                     else:

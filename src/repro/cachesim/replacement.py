@@ -4,6 +4,13 @@ Policies operate on way indices within one set and support *way masks*
 (needed for CAT and DDIO): victim selection can be restricted to an
 allowed subset of ways.  All policies implement
 :class:`ReplacementPolicy`.
+
+:class:`~repro.cachesim.cache.WayCache` builds one policy object per
+set, on the set's first fill, for every policy except ``lru``: LRU is
+kept as a per-set list of last-use stamps drawn from one clock per
+cache, which orders each set's ways exactly as :class:`LruPolicy`'s
+per-set clock does.  :class:`LruPolicy` stays the standalone
+definition of that order.
 """
 
 from __future__ import annotations

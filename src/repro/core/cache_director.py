@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.cachesim.hashfn import SliceHash
 from repro.mem.address import CACHE_LINE
 
@@ -171,19 +173,51 @@ class CacheDirector:
                 (where headroom starts); must be line-aligned.
 
         Returns:
-            The packed udata64 value.  Slices with no reachable line
-            within ``max_lines`` encode offset 0 (the director then
-            falls back to the base headroom for those targets).
+            The packed udata64 value (see :meth:`precompute_udata_array`).
         """
-        data_base = buf_phys + self.base_headroom
-        n = min(self.hash.n_slices, UDATA_MAX_SLICES)
-        offsets = []
-        for target in range(n):
-            k = headroom_lines_for_slice(
-                data_base, self.hash, target, min(self.max_lines, 16)
-            )
-            offsets.append(0 if k is None else k)
-        return pack_headrooms(offsets)
+        return int(self.precompute_udata_array([buf_phys])[0])
+
+    def precompute_udata_array(self, buf_phys: Sequence[int]) -> np.ndarray:
+        """Pre-compute packed per-slice offsets for a whole mempool.
+
+        One vectorised hash pass over every mbuf's first
+        ``min(max_lines, 16)`` candidate data lines; per target slice
+        the offset is the first candidate that hashes there — the
+        :func:`headroom_lines_for_slice` search — packed 4 bits per
+        slice as :func:`pack_headrooms` does, for the first 16 slices.
+
+        Args:
+            buf_phys: physical addresses of the mbufs' buffer regions
+                (where headroom starts); each must be line-aligned.
+
+        Returns:
+            One ``uint64`` udata64 value per mbuf.  Slices with no
+            reachable line within the bound encode offset 0 (the
+            director then falls back to the base headroom for those
+            targets).
+        """
+        bases = np.asarray(buf_phys, dtype=np.uint64) + np.uint64(self.base_headroom)
+        if np.any(bases % np.uint64(CACHE_LINE)):
+            raise ValueError("mbuf buffer addresses must be cache-line aligned")
+        n_lines = min(self.max_lines, 1 << UDATA_BITS_PER_SLICE)
+        candidates = bases[:, None] + np.arange(n_lines, dtype=np.uint64) * np.uint64(
+            CACHE_LINE
+        )
+        slice_of_array = getattr(self.hash, "slice_of_array", None)
+        if slice_of_array is not None:
+            slices = np.asarray(slice_of_array(candidates))
+        else:
+            slice_of = self.hash.slice_of
+            slices = np.array(
+                [slice_of(a) for a in candidates.ravel().tolist()], dtype=np.int64
+            ).reshape(candidates.shape)
+        packed = np.zeros(len(bases), dtype=np.uint64)
+        for target in range(min(self.hash.n_slices, UDATA_MAX_SLICES)):
+            # argmax finds the first matching candidate, and is 0 when
+            # none matches — the no-match fallback offset.
+            first = np.argmax(slices == target, axis=1).astype(np.uint64)
+            packed |= first << np.uint64(UDATA_BITS_PER_SLICE * target)
+        return packed
 
     def headroom_for_core(self, udata64: int, core: int) -> int:
         """Headroom (bytes) placing the first data line in *core*'s slice.

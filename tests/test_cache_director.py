@@ -1,5 +1,6 @@
 """Unit tests for CacheDirector headroom computation (§4.2)."""
 
+import numpy as np
 import pytest
 
 from repro.cachesim.hashfn import ModularSliceHash, haswell_complex_hash
@@ -12,7 +13,10 @@ from repro.core.cache_director import (
     pack_headrooms,
     unpack_headroom,
 )
-from repro.mem.address import CACHE_LINE
+from repro.dpdk.mempool import Mempool
+from repro.mem.address import CACHE_LINE, PAGE_1G
+from repro.mem.allocator import ContiguousAllocator
+from repro.mem.hugepage import PhysicalAddressSpace
 
 
 class TestHeadroomSearch:
@@ -139,6 +143,87 @@ class TestCacheDirector:
             CacheDirector(h, core_to_slice=[])
         with pytest.raises(ValueError):
             CacheDirector(h, core_to_slice=[0], base_headroom=100)
+
+
+def scalar_udata(director, buf_phys):
+    """The per-mbuf search: headroom_lines_for_slice + pack_headrooms."""
+    offsets = []
+    for target in range(min(director.hash.n_slices, UDATA_MAX_SLICES)):
+        k = headroom_lines_for_slice(
+            buf_phys + director.base_headroom,
+            director.hash,
+            target,
+            min(director.max_lines, 16),
+        )
+        offsets.append(0 if k is None else k)
+    return pack_headrooms(offsets)
+
+
+class TestPoolPrecompute:
+    @pytest.fixture
+    def pool(self):
+        space = PhysicalAddressSpace(seed=0)
+        allocator = ContiguousAllocator(space.mmap_hugepage(PAGE_1G))
+        return Mempool("rx", allocator, n_mbufs=512, data_room=2048 + 15 * CACHE_LINE)
+
+    @pytest.mark.parametrize(
+        "slice_hash", [haswell_complex_hash(8), ModularSliceHash(18)], ids=repr
+    )
+    def test_matches_per_mbuf_search(self, pool, slice_hash):
+        director = CacheDirector(slice_hash, core_to_slice=[0, 1])
+        bufs = [mbuf.buf_phys for mbuf in pool.mbufs]
+        packed = director.precompute_udata_array(bufs)
+        assert packed.dtype == np.uint64
+        expected = [scalar_udata(director, buf) for buf in bufs]
+        assert packed.tolist() == expected
+        assert [director.precompute_udata(buf) for buf in bufs] == expected
+
+    def test_eighteen_slices_clamp_and_fall_back(self, pool):
+        h = ModularSliceHash(18)
+        director = CacheDirector(h, core_to_slice=[0])
+        bufs = [mbuf.buf_phys for mbuf in pool.mbufs]
+        packed = director.precompute_udata_array(bufs).tolist()
+        # 18 slices, 16 packed: at least one mbuf cannot reach some
+        # packed target within 16 lines and stores the 0 fallback.
+        fallbacks = 0
+        for buf, udata in zip(bufs, packed):
+            data_base = buf + director.base_headroom
+            for target in range(UDATA_MAX_SLICES):
+                k = unpack_headroom(udata, target)
+                if h.slice_of(data_base + k * CACHE_LINE) != target:
+                    assert k == 0
+                    fallbacks += 1
+        assert fallbacks > 0
+
+    def test_short_bound_and_empty_pool(self):
+        director = CacheDirector(haswell_complex_hash(8), core_to_slice=[0], max_lines=3)
+        bufs = [i * 0x940 for i in range(64)]
+        assert director.precompute_udata_array(bufs).tolist() == [
+            scalar_udata(director, buf) for buf in bufs
+        ]
+        assert director.precompute_udata_array([]).tolist() == []
+
+    def test_hash_without_array_form(self):
+        class ScalarOnly:
+            """A SliceHash with only the protocol's scalar method."""
+
+            n_slices = 8
+
+            def slice_of(self, address):
+                return haswell_complex_hash(8).slice_of(address)
+
+        director = CacheDirector(ScalarOnly(), core_to_slice=[0])
+        bufs = [i * 0x940 for i in range(64)]
+        assert director.precompute_udata_array(bufs).tolist() == [
+            scalar_udata(director, buf) for buf in bufs
+        ]
+
+    def test_unaligned_buffer_rejected(self):
+        director = CacheDirector(haswell_complex_hash(8), core_to_slice=[0])
+        with pytest.raises(ValueError):
+            director.precompute_udata_array([0, 0x10])
+        with pytest.raises(ValueError):
+            director.precompute_udata(0x10)
 
 
 class TestHeadroomStats:

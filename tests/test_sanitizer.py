@@ -14,6 +14,7 @@ from repro.analysis.sanitizer import (
     resolve_sanitizer,
     sanitizer_enabled,
 )
+from repro.cachesim.cache import UNTOUCHED
 from repro.cachesim.ddio import DdioEngine
 from repro.cachesim.hashfn import haswell_complex_hash
 from repro.cachesim.hierarchy import CacheHierarchy, LatencySpec
@@ -233,13 +234,30 @@ class TestScanFaults:
         hierarchy = make_hierarchy(sanitizer=san)
         llc = hierarchy.llc
         line = 0
-        home = llc.slice_of(line)
-        slice_cache = llc.slices[home]
+        slice_cache = llc.slices[llc.slice_of(line)]
         slice_cache.insert(line)
-        set_index = (line >> 6) & (llc.n_sets - 1)
-        # Shadow map claims a second way also holds the line.
-        way = slice_cache._where[set_index][line]
-        slice_cache._where[set_index + 0][line + (1 << 40)] = (way + 1) % llc.n_ways
+        # The fill allocated the set's own line -> way map.
+        where = slice_cache._where[slice_cache.set_index(line)]
+        assert where is not UNTOUCHED
+        # Shadow map claims a second way also holds a line.
+        where[line + (1 << 40)] = (where[line] + 1) % llc.n_ways
+        with pytest.raises(SanitizerError) as excinfo:
+            san.scan(hierarchy, full=True)
+        assert raised_kind(excinfo) == "double-count"
+
+    def test_double_count_map_without_tag_list(self):
+        san = CacheSanitizer()
+        hierarchy = make_hierarchy(sanitizer=san)
+        llc = hierarchy.llc
+        line = 0
+        slice_cache = llc.slices[llc.slice_of(line)]
+        set_index = slice_cache.set_index(line)
+        assert slice_cache._tags[set_index] is None
+        # An untouched set's map is read-only; swap in a populated one
+        # while its tag list stays unallocated.
+        with pytest.raises(TypeError):
+            slice_cache._where[set_index][line] = 0
+        slice_cache._where[set_index] = {line: 0}
         with pytest.raises(SanitizerError) as excinfo:
             san.scan(hierarchy, full=True)
         assert raised_kind(excinfo) == "double-count"
@@ -249,16 +267,15 @@ class TestScanFaults:
         hierarchy = make_hierarchy(sanitizer=san)
         llc = hierarchy.llc
         line = 0
-        home = llc.slice_of(line)
-        slice_cache = llc.slices[home]
+        slice_cache = llc.slices[llc.slice_of(line)]
         slice_cache.insert(line)
-        set_index = (line >> 6) & (llc.n_sets - 1)
-        way = slice_cache._where[set_index][line]
+        set_index = slice_cache.set_index(line)
+        tags = slice_cache._tags[set_index]
+        way = slice_cache.way_of(line)
         other_way = (way + 1) % llc.n_ways
-        # Tag array holds the line in a different way than the map says,
-        # with a bogus valid tag taking its place.
-        slice_cache._tags[set_index][other_way] = slice_cache._tags[set_index][way]
-        slice_cache._tags[set_index][way] = None
+        # The set's tag list holds the line in a different way than its
+        # map says, leaving the mapped way invalid.
+        tags[other_way], tags[way] = tags[way], None
         with pytest.raises(SanitizerError) as excinfo:
             san.scan(hierarchy, full=True)
         assert raised_kind(excinfo) == "double-count"
