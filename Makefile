@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast diff-test bench bench-full bench-trajectory quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
+.PHONY: install test test-fast diff-test bench bench-full bench-trajectory perfbench-check quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
 
 LAB_DIR ?= lab-runs/latest
 LAB_JOBS ?= 4
@@ -53,6 +53,16 @@ BENCH_ARGS ?=
 bench-trajectory:
 	$(PY) -m repro bench run --scale $(BENCH_SCALE) $(BENCH_ARGS)
 	$(PY) -m repro bench compare
+
+# Seed-0 output check of the repo benchmark (perfbench/, BENCHMARK.json):
+# run.py exits non-zero unless the workload prints `"correct": true`, i.e.
+# its payload digest matches perfbench/expected.json.  The workload names
+# come from perfbench's WORKLOADS, so a new workload is checked too.
+perfbench-check:
+	@names=$$(cd perfbench && $(PY) -c "from workloads import WORKLOADS; print(' '.join(sorted(WORKLOADS)))") || exit 1; \
+	for w in $$names; do \
+	  $(PY) perfbench/run.py --workload $$w --seed 0 --seconds 1 --trace 0 || exit 1; \
+	done
 
 quick:
 	$(PY) examples/quickstart.py

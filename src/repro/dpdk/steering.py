@@ -104,6 +104,15 @@ class RssSteering:
         reta = np.asarray(self.reta, dtype=np.int64)
         return reta[hashes % np.uint32(len(self.reta))]
 
+    def flow_table(self, flow_keys: Sequence[Sequence[int]]) -> np.ndarray:
+        """Queue per flow index: entry *i* equals ``queue_for(flow_keys[i])``.
+
+        One :meth:`queues_for` pass over the key columns; a packet
+        stream of flow indices then steers with ``table[flows]``.
+        """
+        columns = np.array(flow_keys, dtype=np.uint64).T
+        return self.queues_for(*columns)
+
 
 class FlowDirectorSteering:
     """Exact-match flow steering with balanced placement.
@@ -143,6 +152,17 @@ class FlowDirectorSteering:
             self._flows[flow_key] = queue
         self._queue_load[queue] += 1
         return queue
+
+    def flow_table(self, flow_keys: Sequence[Hashable]) -> np.ndarray:
+        """Queue per flow index: entry *i* equals ``queue_for(flow_keys[i])``.
+
+        Flows are pinned in index order (overflowing ones take the RSS
+        fallback), so a packet stream of flow indices then steers with
+        ``table[flows]``.
+        """
+        return np.array(
+            [self.queue_for(key) for key in flow_keys], dtype=np.int64
+        )
 
     @property
     def n_flows(self) -> int:

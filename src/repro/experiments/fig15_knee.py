@@ -13,6 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.dpdk.steering import FlowDirectorSteering
 from repro.experiments.nfv_common import run_nfv_experiment
 from repro.net.chain import router_napt_lb_chain
 from repro.net.harness import LOOPBACK_100G_US
@@ -58,7 +59,7 @@ def _measure_samples(
 def _simulate_load_point(
     service_samples: np.ndarray,
     generator,
-    flow_keys: List[tuple],
+    flow_table: np.ndarray,
     load: float,
     n_bulk_packets: int,
     runs: int,
@@ -67,7 +68,6 @@ def _simulate_load_point(
     seed: int,
 ) -> Tuple[float, float]:
     """One (achieved Gbps, p99 us incl. loopback) point of the sweep."""
-    from repro.dpdk.steering import FlowDirectorSteering
     from repro.net.harness import bootstrap_service_ns, simulate_queueing_latency
 
     per_run_tp: List[float] = []
@@ -80,15 +80,10 @@ def _simulate_load_point(
             seed_offset=run_index,
             burstiness=burstiness,
         )
-        steering = FlowDirectorSteering(8)
-        flow_to_queue = {
-            i: steering.queue_for(flow_keys[i]) for i in range(len(flow_keys))
-        }
-        queues = np.array([flow_to_queue[int(f)] for f in flows])
         result = simulate_queueing_latency(
             arrivals,
             sizes,
-            queues,
+            flow_table[flows],
             bootstrap_service_ns(service_samples, len(sizes), rng),
             n_queues=8,
             ring_capacity=ring_capacity,
@@ -121,14 +116,13 @@ def run_fig15_point(
     :func:`assemble_fig15`, bit-identical to :func:`run_fig15`.
     """
     generator = _fig15_generator(seed)
-    flow_keys = [tuple(f) for f in generator.flows]
     service_samples = _measure_samples(
         cache_director, generator, micro_packets, seed
     )
     return _simulate_load_point(
         service_samples,
         generator,
-        flow_keys,
+        FlowDirectorSteering(8).flow_table(generator.flows),
         load_gbps,
         n_bulk_packets,
         runs,
@@ -186,7 +180,7 @@ def run_fig15(
     """
     loads = loads_gbps if loads_gbps is not None else list(DEFAULT_LOADS)
     generator = _fig15_generator(seed)
-    flow_keys = [tuple(f) for f in generator.flows]
+    flow_table = FlowDirectorSteering(8).flow_table(generator.flows)
     points: Dict[bool, List[Tuple[float, float]]] = {False: [], True: []}
     for cache_director in (False, True):
         # The service-time distribution is load-independent; sample it
@@ -199,7 +193,7 @@ def run_fig15(
                 _simulate_load_point(
                     service_samples,
                     generator,
-                    flow_keys,
+                    flow_table,
                     load,
                     n_bulk_packets,
                     runs,

@@ -160,7 +160,9 @@ def run_nfv_experiment(
         assert clock is not None
         clock.count("micro.no_service_samples")
         service_samples = np.zeros(1)
-    flow_keys = [tuple(f) for f in generator.flows]
+    flow_table = make_steering(steering_kind, n_cores).flow_table(
+        generator.flows
+    )
     summaries: List[LatencySummary] = []
     achieved: List[float] = []
     offered: List[float] = []
@@ -172,11 +174,7 @@ def run_nfv_experiment(
         sizes, flows, arrivals = generator.generate_arrays(
             n_bulk_packets, rate_gbps=offered_gbps, seed_offset=run_index
         )
-        steering = make_steering(steering_kind, n_cores)
-        flow_to_queue = {
-            i: steering.queue_for(flow_keys[i]) for i in range(len(flow_keys))
-        }
-        queues = np.array([flow_to_queue[int(f)] for f in flows])
+        queues = flow_table[flows]
         service = bootstrap_service_ns(service_samples, len(sizes), rng)
         goodput_mask: Optional[np.ndarray] = None
         if clock is not None:

@@ -12,9 +12,12 @@ The harness reproduces that decomposition:
    DuT (:class:`~repro.net.chain.DutEnvironment`): NIC DMA via DDIO,
    PMD, service chain — on the cache simulator, yielding per-packet
    service cycles.
-2. **Queueing** — per-RX-queue FIFO waiting times via the Lindley
-   recursion, vectorised over millions of arrivals, with waits capped
-   at the RX-ring capacity (packets beyond it are drops).  The NIC's
+2. **Queueing** — an exact finite-buffer FIFO per RX queue
+   (:func:`finite_queue_sim`): a packet is admitted iff fewer than
+   ring-capacity packets are still in the system, i.e. the packet
+   admitted ring-capacity places back has departed by its arrival;
+   otherwise it is a drop.  (:func:`lindley_waits`, the
+   infinite-buffer recursion, is only a test oracle.)  The NIC's
    per-packet floor (wire + PCIe/DDIO overhead — the cause of the
    ~76 Gbps ceiling the paper attributes to the Mellanox NIC, PCIe
    and DDIO) bounds each queue's drain rate.
@@ -24,8 +27,10 @@ The harness reproduces that decomposition:
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,8 +115,9 @@ def finite_queue_sim(
 
     An arrival finding *capacity* packets in the system (in service +
     waiting) is dropped — the RX ring is full and the NIC overwrites
-    nothing.  Returns ``(waits_ns, dropped)`` where waits of dropped
-    packets are NaN.
+    nothing.  Arrivals must be finite and non-decreasing and services
+    finite and non-negative, so departures never decrease.  Returns
+    ``(waits_ns, dropped)`` where waits of dropped packets are NaN.
 
     This is the overload-regime model: unlike a wait-clipped Lindley
     recursion it yields the correct ~``1 - capacity_ratio`` drop
@@ -124,25 +130,24 @@ def finite_queue_sim(
         raise ValueError("arrivals and services must have equal length")
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
-    n = arrivals.size
-    waits = np.full(n, np.nan)
-    dropped = np.zeros(n, dtype=bool)
-    # Departure times of admitted packets; head index marks the oldest
-    # packet that may still be in the system.
-    departures: List[float] = []
-    head = 0
+    # Departures are non-decreasing, so at least *capacity* packets are
+    # still in the system iff the one admitted *capacity* places back
+    # has not left yet: only the last *capacity* departures matter.
+    # With finite arrivals an admitted wait is never NaN, so NaN alone
+    # marks a drop.
+    recent: Deque[float] = deque(maxlen=capacity)
+    waits_list: List[float] = []
     last_departure = 0.0
-    for i in range(n):
-        t = arrivals[i]
-        while head < len(departures) and departures[head] <= t:
-            head += 1
-        if len(departures) - head >= capacity:
-            dropped[i] = True
+    for t, service in zip(arrivals.tolist(), services.tolist()):
+        if len(recent) == capacity and recent[0] > t:
+            waits_list.append(math.nan)
             continue
         start = t if t > last_departure else last_departure
-        waits[i] = start - t
-        last_departure = start + services[i]
-        departures.append(last_departure)
+        waits_list.append(start - t)
+        last_departure = start + service
+        recent.append(last_departure)
+    waits = np.array(waits_list, dtype=float)
+    dropped = np.isnan(waits)
     return waits, dropped
 
 
@@ -205,15 +210,19 @@ def simulate_queueing_latency(
     effective = np.maximum(service, nic.floor_ns(sizes))
     latencies = np.empty_like(arrivals)
     dropped = np.zeros(arrivals.shape, dtype=bool)
+    # Group packets by queue once (stable, so each queue keeps arrival
+    # order) instead of masking the whole stream per queue.
+    order = np.argsort(queues, kind="stable")
+    bounds = np.searchsorted(queues[order], np.arange(n_queues + 1))
     for queue in range(n_queues):
-        mask = queues == queue
-        if not mask.any():
+        idx = order[bounds[queue] : bounds[queue + 1]]
+        if idx.size == 0:
             continue
-        qa = arrivals[mask]
-        qs = effective[mask]
+        qa = arrivals[idx]
+        qs = effective[idx]
         waits, q_dropped = finite_queue_sim(qa, qs, capacity=ring_capacity)
-        dropped[mask] = q_dropped
-        latencies[mask] = waits + qs + nic.fixed_latency_ns
+        dropped[idx] = q_dropped
+        latencies[idx] = waits + qs + nic.fixed_latency_ns
     kept = ~dropped
     duration_s = (arrivals.max() - arrivals.min()) / 1e9 if arrivals.size > 1 else 1.0
     achieved_gbps = float(sizes[kept].sum() * 8 / max(duration_s, 1e-12) / 1e9)

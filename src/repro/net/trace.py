@@ -54,6 +54,9 @@ CAMPUS_MIX: Tuple[Tuple[float, int, int], ...] = (
     (0.613, 501, 1500),
 )
 
+#: Destination ports of the flow population, drawn uniformly.
+DST_PORTS: Tuple[int, ...] = (80, 443, 53, 8080, 5201)
+
 
 class CampusTraceGenerator:
     """Campus-like traffic: paper's size mix over heavy-tailed flows.
@@ -90,7 +93,7 @@ class CampusTraceGenerator:
                     src_ip=int(rng.integers(0x0A00_0000, 0x0AFF_FFFF)),
                     dst_ip=int(rng.integers(0xC0A8_0000, 0xC0A8_FFFF)),
                     src_port=int(rng.integers(1024, 65535)),
-                    dst_port=int(rng.choice([80, 443, 53, 8080, 5201])),
+                    dst_port=DST_PORTS[int(rng.integers(0, len(DST_PORTS)))],
                     proto=proto,
                 )
             )

@@ -97,8 +97,13 @@ class TestFiniteQueue:
         assert np.allclose(waits, lindley_waits(arrivals, services))
 
     def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            finite_queue_sim(np.array([0.0]), np.array([1.0]), capacity=0)
+        for capacity in (0, -3):
+            with pytest.raises(ValueError, match="capacity"):
+                finite_queue_sim(np.array([0.0]), np.array([1.0]), capacity=capacity)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            finite_queue_sim(np.array([0.0, 1.0]), np.array([1.0]), capacity=4)
 
 
 class TestNicModel:

@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+from typing import List, Tuple
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +165,56 @@ class TestRingProperties:
             assert len(ring) == len(model) <= 8
 
 
+def head_pointer_queue_sim(
+    arrivals_ns: np.ndarray,
+    services_ns: np.ndarray,
+    capacity: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference finite-buffer FIFO: the original head-pointer sweep.
+
+    Keeps every departure time and walks a head index past those that
+    left by each arrival; :func:`finite_queue_sim` must agree exactly.
+    """
+    arrivals = np.asarray(arrivals_ns, dtype=float)
+    services = np.asarray(services_ns, dtype=float)
+    if arrivals.shape != services.shape:
+        raise ValueError("arrivals and services must have equal length")
+    if capacity <= 0:
+        raise ValueError(f"capacity must be positive, got {capacity}")
+    n = arrivals.size
+    waits = np.full(n, np.nan)
+    dropped = np.zeros(n, dtype=bool)
+    # Departure times of admitted packets; head index marks the oldest
+    # packet that may still be in the system.
+    departures: List[float] = []
+    head = 0
+    last_departure = 0.0
+    for i in range(n):
+        t = arrivals[i]
+        while head < len(departures) and departures[head] <= t:
+            head += 1
+        if len(departures) - head >= capacity:
+            dropped[i] = True
+            continue
+        start = t if t > last_departure else last_departure
+        waits[i] = start - t
+        last_departure = start + services[i]
+        departures.append(last_departure)
+    return waits, dropped
+
+
+#: (inter-arrival gap, service) pairs; zero gaps tie arrival times and
+#: zero services leave at once, both edges of the admission test.
+queue_packets = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=400.0)),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=400.0)),
+    ),
+    min_size=0,
+    max_size=300,
+)
+
+
 class TestQueueingProperties:
     arrival_lists = st.lists(
         st.floats(min_value=0.1, max_value=1000.0, allow_nan=False),
@@ -201,6 +254,31 @@ class TestQueueingProperties:
         services = np.full(len(arrivals), 10.0)
         _, dropped = finite_queue_sim(arrivals, services, capacity=10**9)
         assert not dropped.any()
+
+    @settings(max_examples=300)
+    @given(packets=queue_packets, capacity=st.integers(1, 64))
+    def test_finite_queue_equals_head_pointer_reference(self, packets, capacity):
+        gaps = np.array([g for g, _ in packets], dtype=float)
+        services = np.array([s for _, s in packets], dtype=float)
+        arrivals = np.cumsum(gaps)
+        waits, dropped = finite_queue_sim(arrivals, services, capacity)
+        ref_waits, ref_dropped = head_pointer_queue_sim(arrivals, services, capacity)
+        assert waits.dtype == ref_waits.dtype and dropped.dtype == ref_dropped.dtype
+        assert np.array_equal(waits, ref_waits, equal_nan=True)
+        assert np.array_equal(dropped, ref_dropped)
+
+    @pytest.mark.parametrize("capacity", [1, 2, 64])
+    def test_finite_queue_one_and_zero_packets(self, capacity):
+        for n in (0, 1):
+            arrivals = np.full(n, 5.0)
+            services = np.full(n, 3.0)
+            waits, dropped = finite_queue_sim(arrivals, services, capacity)
+            ref_waits, ref_dropped = head_pointer_queue_sim(
+                arrivals, services, capacity
+            )
+            assert waits.shape == dropped.shape == (n,)
+            assert np.array_equal(waits, ref_waits, equal_nan=True)
+            assert np.array_equal(dropped, ref_dropped)
 
 
 class TestCodecProperties:

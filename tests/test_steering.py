@@ -2,9 +2,11 @@
 
 import collections
 
+import numpy as np
 import pytest
 
 from repro.dpdk.steering import FlowDirectorSteering, RssSteering, rss_hash
+from repro.net.trace import CampusTraceGenerator
 
 
 class TestRssHash:
@@ -95,3 +97,41 @@ class TestFlowDirector:
             FlowDirectorSteering(0)
         with pytest.raises(ValueError):
             FlowDirectorSteering(2, table_size=0)
+
+
+class TestFlowTable:
+    """``flow_table(keys)[i]`` is the queue ``queue_for(keys[i])`` picks."""
+
+    keys = CampusTraceGenerator(n_flows=512, seed=3).flows
+
+    def _check(self, table, reference):
+        assert table.dtype == np.int64
+        assert table.shape == (len(self.keys),)
+        assert table.tolist() == [reference.queue_for(k) for k in self.keys]
+
+    def test_rss(self):
+        self._check(RssSteering(8).flow_table(self.keys), RssSteering(8))
+
+    def test_rss_uneven_reta(self):
+        self._check(
+            RssSteering(6, reta_size=100).flow_table(self.keys),
+            RssSteering(6, reta_size=100),
+        )
+
+    def test_flow_director(self):
+        steering = FlowDirectorSteering(8)
+        table = steering.flow_table(self.keys)
+        self._check(table, FlowDirectorSteering(8))
+        assert steering.n_flows == len(self.keys)
+        assert steering.table_overflows == 0
+        # Pins hold: the steerer keeps answering with its table.
+        assert [steering.queue_for(k) for k in self.keys] == table.tolist()
+
+    def test_flow_director_overflow_falls_back_to_rss(self):
+        steering = FlowDirectorSteering(8, table_size=100)
+        table = steering.flow_table(self.keys)
+        self._check(table, FlowDirectorSteering(8, table_size=100))
+        assert steering.n_flows == 100
+        assert steering.table_overflows == len(self.keys) - 100
+        rss = RssSteering(8)
+        assert table[100:].tolist() == [rss.queue_for(k) for k in self.keys[100:]]

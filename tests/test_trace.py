@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.net.packet import PROTO_TCP, PROTO_UDP, FiveTuple
 from repro.net.trace import (
     CAMPUS_MIX,
     CampusTraceGenerator,
@@ -43,6 +44,25 @@ class TestCampusMix:
         indices = gen.flow_indices(10_000)
         assert indices.min() >= 0
         assert indices.max() < 128
+
+    @pytest.mark.parametrize("n_flows", [2, 256, 4096])
+    def test_flow_population_matches_choice_reference(self, n_flows):
+        """The population equals one drawn with ``rng.choice`` ports."""
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            reference = []
+            for _ in range(n_flows):
+                proto = PROTO_TCP if rng.random() < 0.8 else PROTO_UDP
+                reference.append(
+                    FiveTuple(
+                        src_ip=int(rng.integers(0x0A00_0000, 0x0AFF_FFFF)),
+                        dst_ip=int(rng.integers(0xC0A8_0000, 0xC0A8_FFFF)),
+                        src_port=int(rng.integers(1024, 65535)),
+                        dst_port=int(rng.choice([80, 443, 53, 8080, 5201])),
+                        proto=proto,
+                    )
+                )
+            assert CampusTraceGenerator(n_flows=n_flows, seed=seed).flows == reference
 
     def test_elephants_dominate(self):
         gen = CampusTraceGenerator(
